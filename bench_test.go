@@ -77,20 +77,18 @@ func BenchmarkE1FullMatch(b *testing.B) {
 	b.ReportMetric(float64(sa.Len()*sb.Len()), "pairs/op")
 }
 
-// BenchmarkE1FullMatchWarm is E17's steady-state: the same 1378x784
-// match served through a pre-warmed compiled-profile cache, plus
+// BenchmarkE1FullMatchWarm is E17's profile-cache-warm state: the same
+// 1378x784 match served through a pre-warmed compiled-profile cache, plus
 // Result.Release returning the dense matrix to the pool. This is the
 // daemon's serving regime — schemas register once and are matched many
-// times — so per-op cost is only the pair-dependent work (joint IDF,
-// voting, propagation) with near-zero steady-state allocations.
+// times — so per-op cost is only the pair-dependent work (PairProfiles'
+// joint IDF and TF-IDF vectors, voting, propagation).
 func BenchmarkE1FullMatchWarm(b *testing.B) {
 	sa, sb, _ := synth.CaseStudy(42)
 	pc := core.NewProfileCache(core.DefaultProfileCacheSize)
 	eng := core.PresetHarmony().WithOptions(core.WithProfileCache(pc))
-	// Two warm-up matches: the first fills the profile and pair-view
-	// caches, the second triggers the lazy pair-table build, so the timed
-	// loop measures the steady serving state.
-	eng.Match(sa, sb).Release()
+	// One warm-up match fills the profile cache and the pooled shape
+	// memo, so the timed loop measures the steady serving state.
 	eng.Match(sa, sb).Release()
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -28,13 +28,13 @@
 //	-preset NAME         default matcher preset (default harmony)
 //	-threshold F         default confidence filter (default 0.4)
 //	-workers N           job worker-pool size (default 2)
-//	-backlog N           job submission backlog bound (default 64)
-//	-queue-depth N       job backlog cap: submissions beyond it are load-shed
-//	                     with 429 + a Retry-After drain estimate (0 = use
-//	                     -backlog)
+//	-backlog N           job backlog cap: submissions beyond it are load-shed
+//	                     with 429 + a Retry-After drain estimate (default 64)
 //	-ingest-workers N    bulk-ingest prepare parallelism — parse and profile
 //	                     compilation workers per stream (default GOMAXPROCS)
 //	-cache N             match cache capacity in entries (default 256)
+//	-profile-cache N     compiled-profile cache capacity in schemas
+//	                     (default 0 = 128; negative disables)
 //	-save-interval D     periodic persistence cadence (default 30s)
 //	-corpus-candidates N default blocking budget of corpus queries (default 32)
 //	-corpus-topk N       default result count of corpus queries (default 5)
@@ -164,9 +164,8 @@ func main() {
 	preset := flag.String("preset", "harmony", "default matcher preset")
 	threshold := flag.Float64("threshold", 0.4, "default confidence filter")
 	workers := flag.Int("workers", 2, "job worker-pool size")
-	backlog := flag.Int("backlog", 64, "job submission backlog bound")
-	queueDepth := flag.Int("queue-depth", 0,
-		"job backlog cap: submissions beyond it answer 429 with Retry-After (0 = use -backlog)")
+	backlog := flag.Int("backlog", 64,
+		"job backlog cap: submissions beyond it answer 429 with Retry-After")
 	ingestWorkers := flag.Int("ingest-workers", 0,
 		"bulk-ingest prepare parallelism: parse + profile compilation workers per stream (0 = GOMAXPROCS)")
 	cacheSize := flag.Int("cache", 256, "match cache capacity (entries)")
@@ -240,15 +239,11 @@ func main() {
 	if slowReq <= 0 {
 		slowReq = -1 // service.Config: negative disables, zero means default
 	}
-	jobBacklog := *backlog
-	if *queueDepth > 0 {
-		jobBacklog = *queueDepth
-	}
 	srv, err := service.New(service.Config{
 		Preset:            *preset,
 		Threshold:         *threshold,
 		Workers:           *workers,
-		Backlog:           jobBacklog,
+		Backlog:           *backlog,
 		IngestWorkers:     *ingestWorkers,
 		CacheSize:         *cacheSize,
 		ProfileCache:      *profileCache,

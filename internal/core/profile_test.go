@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -9,34 +10,82 @@ import (
 )
 
 // TestProfileCacheBitwiseEquality is the central correctness claim of
-// the compiled-profile cache: matching through the cache — including
-// the warm pair-table fast path that replaces per-pair metric compute
-// with dense table reads — must produce bit-identical scores to a
-// cache-less match. Shapes intern exact token-ID sequences, so every
-// table cell is the same float the direct compute would produce.
+// the compiled-profile cache: matching through the cache must produce
+// bit-identical scores to a fresh cache-less engine, dense and sparse,
+// on the cold (compiling) match and on the warm (cache-hit) repeat. A
+// second schema pair built from overlapping concepts, and so sharing
+// many name shapes, is matched first through the same cache, so the
+// per-worker shape memo already holds entries computed for another pair
+// when the pair under test is scored. Both engines share that memo, so
+// every stored cell is also checked against the memo-free votes Explain
+// computes; propagation is off so those merged votes are the final
+// scores.
 func TestProfileCacheBitwiseEquality(t *testing.T) {
 	sa, _ := synth.Custom("A", schema.FormatRelational, synth.StyleRelational, 4, 9, 6, 2)
 	sb, _ := synth.Custom("B", schema.FormatXML, synth.StyleXML, 4, 9, 6, 5)
+	// C and D cover A's and B's concepts under the same naming seed:
+	// about two thirds of A×B's name-shape pairs also occur in C×D.
+	oa, _ := synth.Custom("C", schema.FormatRelational, synth.StyleRelational, 4, 12, 6, 0)
+	ob, _ := synth.Custom("D", schema.FormatXML, synth.StyleXML, 4, 12, 6, 3)
 
-	plain := PresetHarmony()
-	cached := PresetHarmony().WithOptions(WithProfileCache(NewProfileCache(8)))
-
-	want := plain.Match(sa, sb)
-	// Three passes: cold (compile), warm views (lazy tables not yet
-	// built), warm tables (flat kernel). All must agree bitwise.
-	for pass := 0; pass < 3; pass++ {
-		got := cached.Match(sa, sb)
-		for i := 0; i < sa.Len(); i++ {
-			for j := 0; j < sb.Len(); j++ {
-				if got.Matrix.At(i, j) != want.Matrix.At(i, j) {
-					t.Fatalf("pass %d: score (%d,%d) = %v through cache, %v without",
-						pass, i, j, got.Matrix.At(i, j), want.Matrix.At(i, j))
-				}
-			}
-		}
-		got.Release()
+	modes := []struct {
+		name   string
+		opts   []Option
+		sparse bool
+	}{
+		{"dense", nil, false},
+		// The custom schemata are far below DefaultSparseCutoff; a small
+		// budget and cutoff make sparse scoring engage.
+		{"sparse", []Option{WithSparse(8), WithSparseCutoff(1)}, true},
 	}
-	want.Release()
+	for _, mode := range modes {
+		opts := append([]Option{WithPropagation(0, 0)}, mode.opts...)
+		want := PresetHarmony().WithOptions(opts...).Match(sa, sb)
+		if _, isSparse := want.Matrix.(*SparseMatrix); isSparse != mode.sparse {
+			t.Fatalf("%s: reference matrix is %T", mode.name, want.Matrix)
+		}
+		cached := PresetHarmony().WithOptions(append(opts, WithProfileCache(NewProfileCache(8)))...)
+		cached.Match(oa, ob).Release()
+		for _, pass := range []string{"cold", "warm"} {
+			t.Run(mode.name+"/"+pass, func(t *testing.T) {
+				got := cached.Match(sa, sb)
+				defer got.Release()
+				if got.Matrix.Pairs() != want.Matrix.Pairs() {
+					t.Fatalf("%d scored pairs through cache, %d without", got.Matrix.Pairs(), want.Matrix.Pairs())
+				}
+				for i := 0; i < sa.Len(); i++ {
+					for j := 0; j < sb.Len(); j++ {
+						g, w := got.Matrix.At(i, j), want.Matrix.At(i, j)
+						if math.Float64bits(g) != math.Float64bits(w) {
+							t.Fatalf("score (%d,%d) = %v through cache, %v without", i, j, g, w)
+						}
+					}
+					got.Matrix.ForRow(i, func(j int, g float64) bool {
+						if d := explainScore(cached, got.Src, got.Dst, i, j); math.Float64bits(g) != math.Float64bits(d) {
+							t.Fatalf("score (%d,%d) = %v through cache, %v from direct votes", i, j, g, d)
+						}
+						return true
+					})
+				}
+			})
+		}
+		if st := cached.profiles.Stats(); st.Hits == 0 {
+			t.Errorf("%s: warm pass never hit the profile cache: %+v", mode.name, st)
+		}
+		want.Release()
+	}
+}
+
+// explainScore merges the memo-free votes Explain reports for one pair.
+func explainScore(e *Engine, sv, dv *SchemaView, i, j int) float64 {
+	records := e.Explain(sv, dv, i, j)
+	votes := make([]Vote, len(records))
+	weights := make([]float64, len(records))
+	for k, r := range records {
+		votes[k] = r.Vote
+		weights[k] = r.Weight
+	}
+	return e.Merger().Merge(votes, weights)
 }
 
 // TestProfileEncodeDecodeRoundTrip verifies that a profile decoded from
@@ -121,62 +170,5 @@ func TestProfileCacheLRUEvictionAndInvalidation(t *testing.T) {
 	st := pc.Stats()
 	if st.Evictions == 0 || st.Invalidations != 1 || st.Capacity != 2 {
 		t.Errorf("stats = %+v, want >=1 eviction, 1 invalidation, capacity 2", st)
-	}
-}
-
-// TestProfileCacheInvalidationSweepsPairEntries verifies that retiring
-// a fingerprint also drops cached pair views/tables referencing it on
-// either side — a stale pair entry would otherwise keep serving scores
-// computed from retired schema content.
-func TestProfileCacheInvalidationSweepsPairEntries(t *testing.T) {
-	sa, _ := synth.Custom("A", schema.FormatRelational, synth.StyleRelational, 3, 8, 6, 2)
-	sb, _ := synth.Custom("B", schema.FormatXML, synth.StyleXML, 3, 8, 6, 4)
-	pc := NewProfileCache(8)
-	eng := PresetHarmony().WithOptions(WithProfileCache(pc))
-
-	// Two matches: the second builds the lazy pair tables.
-	eng.Match(sa, sb).Release()
-	eng.Match(sa, sb).Release()
-	if len(pc.pairItems) != 1 {
-		t.Fatalf("pair cache holds %d entries, want 1", len(pc.pairItems))
-	}
-	ent := pc.pairLL.Front().Value.(*pairEntry)
-	if ent.tables == nil {
-		t.Fatal("second match should have built the pair tables")
-	}
-
-	pc.InvalidateFingerprint(sb.Fingerprint())
-	if len(pc.pairItems) != 0 {
-		t.Fatalf("pair entries survived invalidation of one side: %d left", len(pc.pairItems))
-	}
-}
-
-// TestPairTablesMatchDirectCompute checks every cell of both shape
-// tables against the uncached metric functions.
-func TestPairTablesMatchDirectCompute(t *testing.T) {
-	sa, _ := synth.Custom("A", schema.FormatRelational, synth.StyleRelational, 3, 8, 6, 2)
-	sb, _ := synth.Custom("B", schema.FormatXML, synth.StyleXML, 3, 8, 6, 4)
-	pa, pb := CompileSchema(sa), CompileSchema(sb)
-	tbl := buildPairTables(pa, pb)
-
-	for i, ra := range pa.nameRep {
-		for j, rb := range pb.nameRep {
-			want := hybridNameSimFlat(&pa.tmpl[ra], &pb.tmpl[rb])
-			if got := tbl.nameSim[i*int(tbl.nsB)+j]; got != want {
-				t.Fatalf("nameSim[%d,%d] = %v, direct compute %v", i, j, got, want)
-			}
-		}
-	}
-	for i, ra := range pa.pathRep {
-		for j, rb := range pb.pathRep {
-			a, b := &pa.tmpl[ra], &pb.tmpl[rb]
-			want := Abstain
-			if len(a.pathIDs) > 0 && len(b.pathIDs) > 0 {
-				want = pathVote(a, b)
-			}
-			if got := tbl.pathVote[i*int(tbl.npB)+j]; got != want {
-				t.Fatalf("pathVote[%d,%d] = %+v, direct compute %+v", i, j, got, want)
-			}
-		}
 	}
 }

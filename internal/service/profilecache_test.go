@@ -59,7 +59,7 @@ func TestEvolutionInvalidatesProfileCache(t *testing.T) {
 // TestProfileCacheConcurrentEvolutionRace drives mixed /v1/match and
 // /v1/corpus/topk traffic while schema evolution concurrently retires
 // fingerprints — the race detector watches profile-cache Get/Profile
-// against InvalidateFingerprint and the pair-view sweep.
+// against InvalidateFingerprint.
 func TestProfileCacheConcurrentEvolutionRace(t *testing.T) {
 	srv, ts := newTestServer(t, Config{Workers: 2})
 
