@@ -178,7 +178,7 @@ func BenchmarkE3Workbook(b *testing.B) {
 // increment (the paper's 10^4-10^5-pair sub-tree match).
 func BenchmarkE4Increment(b *testing.B) {
 	f := caseFixture(b)
-	sv, dv := core.Preprocess(f.sa, f.sb)
+	sv, dv := core.PairProfiles(core.CompileSchema(f.sa), core.CompileSchema(f.sb))
 	eng := core.PresetHarmony()
 	concept := f.sumA.Concepts()[0]
 	b.ResetTimer()
@@ -443,7 +443,7 @@ func (acceptAllReviewer) Review(_, _ *schema.Element, _ float64) workflow.Decisi
 // the merger, the inner loop of every match.
 func BenchmarkPairScore(b *testing.B) {
 	f := caseFixture(b)
-	sv, dv := core.Preprocess(f.sa, f.sb)
+	sv, dv := core.PairProfiles(core.CompileSchema(f.sa), core.CompileSchema(f.sb))
 	eng := core.PresetHarmony()
 	voters := eng.Voters()
 	weights := make([]float64, len(voters))
@@ -468,7 +468,7 @@ func BenchmarkPreprocess(b *testing.B) {
 	f := caseFixture(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		core.Preprocess(f.sa, f.sb)
+		core.PairProfiles(core.CompileSchema(f.sa), core.CompileSchema(f.sb))
 	}
 }
 

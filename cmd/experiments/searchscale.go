@@ -63,7 +63,7 @@ func runE18(cfg config) {
 
 	// Budgeted pass: cap exact scoring at a fraction of the corpus and
 	// measure how often the cap actually fires and what it costs in
-	// top-k agreement — the knob -corpus-block-budget exposes.
+	// top-k agreement — the per-request blockBudget of corpus queries.
 	budget := len(schemas) / 8
 	var budgetTime time.Duration
 	terminated, agree := 0, 0

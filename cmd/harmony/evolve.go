@@ -69,7 +69,7 @@ func runDiff(args []string) {
 // only the dirty elements.
 func runEvolve(args []string) {
 	fs := flag.NewFlagSet("evolve", flag.ExitOnError)
-	db := fs.String("db", "", "legacy registry persistence file (as written by harmonyd -db)")
+	db := fs.String("db", "", "registry JSON file (as written by cmd/registry or a pre-store harmonyd)")
 	storeDir := fs.String("store-dir", "", "durable store directory (as written by harmonyd -store-dir); "+
 		"an empty store imports -db one-shot")
 	schemaPath := fs.String("schema", "", "next schema version file")

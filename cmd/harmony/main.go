@@ -48,7 +48,8 @@
 // subcommand applies a version bump to a schema inside a persisted
 // registry — either a durable store directory (harmonyd -store-dir, the
 // upgrade commits as one atomic WAL record; an empty store imports a
-// legacy -db file one-shot) or a legacy JSON file (harmonyd -db): the
+// -db file one-shot) or a registry JSON file (as written by cmd/registry
+// or a pre-store harmonyd): the
 // version chain is extended, every stored match artifact is migrated
 // through the diff — unchanged elements keep their validated decisions,
 // renamed/moved elements are re-pathed with migrated-from provenance —

@@ -12,19 +12,18 @@
 //	-addr ADDR           listen address (default :8071)
 //	-store-dir DIR       durable storage engine directory: every mutation
 //	                     commits to a write-ahead log before the request
-//	                     completes, with periodic snapshot + log truncation.
-//	                     An empty store transparently imports a legacy -db
-//	                     JSON file one-shot. (empty = legacy/-db mode)
+//	                     completes, with periodic snapshot + log truncation
+//	                     (empty = in-memory only)
 //	-fsync POLICY        WAL durability policy with -store-dir: commit
 //	                     (default; a returned mutation is durable), interval
 //	                     (amortized background syncs) or off
 //	-snapshot-interval D background compaction check cadence (default 1m)
 //	-snapshot-every N    WAL records that trigger snapshot + truncation
 //	                     (default 1024)
-//	-db PATH             legacy registry persistence file (loaded if present,
-//	                     saved periodically and on shutdown; with -store-dir
-//	                     it is only the one-shot migration source; empty with
-//	                     no -store-dir = in-memory only)
+//	-db PATH             registry JSON file (as written by cmd/registry or
+//	                     a pre-store harmonyd) that an empty -store-dir
+//	                     imports one-shot; requires -store-dir and is
+//	                     refused with -role=follower
 //	-preset NAME         default matcher preset (default harmony)
 //	-threshold F         default confidence filter (default 0.4)
 //	-workers N           job worker-pool size (default 2)
@@ -35,16 +34,6 @@
 //	-cache N             match cache capacity in entries (default 256)
 //	-profile-cache N     compiled-profile cache capacity in schemas
 //	                     (default 0 = 128; negative disables)
-//	-save-interval D     periodic persistence cadence (default 30s)
-//	-corpus-candidates N default blocking budget of corpus queries (default 32)
-//	-corpus-topk N       default result count of corpus queries (default 5)
-//	-corpus-block-budget N default document-scoring budget of the blocking
-//	                     index retrieval: the block-max search stops after
-//	                     exactly scoring N documents and reports the
-//	                     truncation in stats (default 0 = exact)
-//	-index-tail-merge N  search index tail size that triggers the background
-//	                     merge into the flat compressed segment (default 0 =
-//	                     built-in heuristic: max(512, flatDocs/8))
 //	-sparse-budget N     per-source candidate budget of sparse candidate-pair
 //	                     scoring for large matches (default 64; 0 disables
 //	                     sparse mode, every pair is scored densely)
@@ -104,16 +93,17 @@
 //	                           corpus)
 //	GET    /v1/traces          recent request/job traces as span trees
 //	GET    /healthz            liveness probe; reports status "degraded" with
-//	                           the error when the last WAL append / snapshot /
-//	                           legacy save failed, or when a follower's
-//	                           replication stream is down or lagging
+//	                           the error when the last WAL append or snapshot
+//	                           failed, or when a follower's replication
+//	                           stream is down or lagging
 //	GET    /repl/v1/snapshot   bootstrap snapshot for followers (store mode)
 //	GET    /repl/v1/wal        LSN-ordered WAL records, long-polling
 //	GET    /repl/v1/status     leader head / durable / snapshot LSNs
 //	POST   /repl/v1/promote    turn this follower into a writable leader
 //
 // The daemon shuts down gracefully on SIGINT/SIGTERM: in-flight HTTP
-// requests drain, jobs are cancelled, and the registry is saved.
+// requests drain, jobs are cancelled, and with -store-dir a final
+// snapshot compacts the log and the WAL is synced shut.
 package main
 
 import (
@@ -156,11 +146,11 @@ func promoteFollower(baseURL string) error {
 
 func main() {
 	addr := flag.String("addr", ":8071", "listen address")
-	storeDir := flag.String("store-dir", "", "durable store directory (WAL + snapshots; empty = legacy -db mode)")
+	storeDir := flag.String("store-dir", "", "durable store directory (WAL + snapshots; empty = in-memory only)")
 	fsync := flag.String("fsync", "commit", "WAL durability policy with -store-dir: commit, interval or off")
 	snapshotInterval := flag.Duration("snapshot-interval", time.Minute, "background compaction check cadence")
 	snapshotEvery := flag.Int("snapshot-every", 1024, "WAL records that trigger snapshot + log truncation")
-	db := flag.String("db", "", "legacy registry persistence file (migration source with -store-dir; empty = in-memory)")
+	db := flag.String("db", "", "registry JSON file an empty -store-dir imports one-shot (requires -store-dir)")
 	preset := flag.String("preset", "harmony", "default matcher preset")
 	threshold := flag.Float64("threshold", 0.4, "default confidence filter")
 	workers := flag.Int("workers", 2, "job worker-pool size")
@@ -171,13 +161,6 @@ func main() {
 	cacheSize := flag.Int("cache", 256, "match cache capacity (entries)")
 	profileCache := flag.Int("profile-cache", 0,
 		"compiled-profile cache capacity in schemas (0 = default, negative disables)")
-	saveInterval := flag.Duration("save-interval", 30*time.Second, "periodic persistence cadence")
-	corpusCandidates := flag.Int("corpus-candidates", 32, "default blocking budget of corpus queries")
-	corpusTopK := flag.Int("corpus-topk", 5, "default result count of corpus queries")
-	corpusBlockBudget := flag.Int("corpus-block-budget", 0,
-		"default document-scoring budget of the blocking index retrieval (0 = exact)")
-	indexTailMerge := flag.Int("index-tail-merge", 0,
-		"search index tail size that triggers a background segment merge (0 = built-in default)")
 	sparseBudget := flag.Int("sparse-budget", service.DefaultSparseBudget,
 		"per-source candidate budget for sparse scoring of large matches (0 disables)")
 	role := flag.String("role", "", "replication role: leader, follower or empty (unreplicated)")
@@ -240,32 +223,27 @@ func main() {
 		slowReq = -1 // service.Config: negative disables, zero means default
 	}
 	srv, err := service.New(service.Config{
-		Preset:            *preset,
-		Threshold:         *threshold,
-		Workers:           *workers,
-		Backlog:           *backlog,
-		IngestWorkers:     *ingestWorkers,
-		CacheSize:         *cacheSize,
-		ProfileCache:      *profileCache,
-		DBPath:            *db,
-		SaveInterval:      *saveInterval,
-		StoreDir:          *storeDir,
-		Fsync:             *fsync,
-		SnapshotInterval:  *snapshotInterval,
-		SnapshotEvery:     *snapshotEvery,
-		CorpusCandidates:  *corpusCandidates,
-		CorpusTopK:        *corpusTopK,
-		CorpusBlockBudget: *corpusBlockBudget,
-		IndexTailMerge:    *indexTailMerge,
-		SparseBudget:      budget,
-		Role:              *role,
-		PeerURL:           *peer,
-		ReplicaID:         *replicaID,
-		Replicas:          replicaSet,
-		LagThreshold:      *lagThreshold,
-		CorpusWorkers:     *corpusWorkers,
-		SlowRequest:       slowReq,
-		Logger:            logger,
+		Preset:           *preset,
+		Threshold:        *threshold,
+		Workers:          *workers,
+		Backlog:          *backlog,
+		IngestWorkers:    *ingestWorkers,
+		CacheSize:        *cacheSize,
+		ProfileCache:     *profileCache,
+		StoreDir:         *storeDir,
+		MigrateFrom:      *db,
+		Fsync:            *fsync,
+		SnapshotInterval: *snapshotInterval,
+		SnapshotEvery:    *snapshotEvery,
+		SparseBudget:     budget,
+		Role:             *role,
+		PeerURL:          *peer,
+		ReplicaID:        *replicaID,
+		Replicas:         replicaSet,
+		LagThreshold:     *lagThreshold,
+		CorpusWorkers:    *corpusWorkers,
+		SlowRequest:      slowReq,
+		Logger:           logger,
 	}, logf)
 	if err != nil {
 		logger.Error("startup failed", "error", err)

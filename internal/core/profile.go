@@ -19,7 +19,7 @@ import (
 // Profiles are immutable once built, keyed by schema.Fingerprint, safe
 // for concurrent use, and cheap to pair: PairProfiles only merges the
 // two vocabularies and materializes per-element TF-IDF weights under
-// the joint IDF, reproducing Preprocess' output bit for bit.
+// the joint IDF.
 //
 // Per-element data lives in arena-style contiguous slices (one terms /
 // tf / weight arena per schema) so the hot loop walks dense memory.
@@ -298,12 +298,13 @@ func shapeOf(ids []uint32) int32 {
 // PairProfiles combines two compiled profiles into the pair of
 // SchemaViews a match run consumes. Only the pair-dependent work runs
 // here: the two sorted vocabularies are merged into a joint vocabulary
-// with IDF over the union corpus (N = nA+nB documents, df summed), and
-// each element's TF-IDF weights are materialized under that IDF.
-// Term entries are walked in ascending string order throughout, so
-// weights, norms and cosine merge order — and therefore every score —
-// are bit-identical to what Preprocess produced by rebuilding the
-// corpus from scratch.
+// with IDF over the union corpus (N = nA+nB documents, df summed; each
+// element's document is its documentation plus its name tokens, so
+// undocumented elements still get a usable vector), and each element's
+// TF-IDF weights are materialized under that IDF. Term entries are
+// walked in ascending string order throughout, so weights, norms and
+// cosine merge order — and therefore every score — do not depend on
+// whether a profile came from a cache or a fresh compile.
 func PairProfiles(pa, pb *CompiledProfile) (*SchemaView, *SchemaView) {
 	na, nb := len(pa.vocabTerms), len(pb.vocabTerms)
 	mapA := make([]int32, na)

@@ -195,7 +195,7 @@ func TestSparseAcronymRetrieval(t *testing.T) {
 	b.AddElement(tb, "Zebra_Quark_Vortex", schema.KindXMLElement, schema.TypeString)
 	b.AddElement(tb, "ZQV", schema.KindXMLElement, schema.TypeString)
 
-	sv, dv := Preprocess(a, b)
+	sv, dv := preprocess(a, b)
 	cands := sparseCandidates(sv, dv, 8)
 	for _, pair := range [][2]string{
 		{"Records/ZQV", "Entries/Zebra_Quark_Vortex"}, // raw acronym → expansion
@@ -220,7 +220,7 @@ func TestSparseAcronymRetrieval(t *testing.T) {
 // matching concurrently with a multi-worker engine, results identical.
 func TestSparseMatchConcurrent(t *testing.T) {
 	a, b, _ := synth.Pair(11, 20, 18, 10, 6)
-	sv, dv := Preprocess(a, b)
+	sv, dv := preprocess(a, b)
 	eng := PresetHarmony().WithOptions(WithSparse(16), WithSparseCutoff(1), WithWorkers(4))
 	want := eng.MatchViews(sv, dv).Matrix.Above(0.4)
 
@@ -253,7 +253,7 @@ func TestMatchScopedRestrictsRows(t *testing.T) {
 	// blend against unscored zeros), so score parity with the full run is
 	// only defined pre-propagation.
 	eng := sparseTestEngine(8).WithOptions(WithPropagation(0, 0))
-	sv, dv := Preprocess(a, b)
+	sv, dv := preprocess(a, b)
 
 	scope := a.Roots()[2].Subtree()
 	inScope := make(map[int]bool, len(scope))
@@ -294,7 +294,7 @@ func TestMatchScopedRestrictsRows(t *testing.T) {
 func TestMatchCrossScoresOnlySubset(t *testing.T) {
 	a, b, _ := synth.Pair(19, 12, 10, 6, 5)
 	eng := PresetHarmony()
-	sv, dv := Preprocess(a, b)
+	sv, dv := preprocess(a, b)
 	srcEls := a.Roots()[0].Subtree()
 	dstEls := b.Roots()[1].Subtree()
 	res := eng.MatchCross(sv, dv, srcEls, dstEls)

@@ -6,11 +6,16 @@ import (
 	"harmony/internal/schema"
 )
 
+// preprocess compiles both schemata fresh and pairs their profiles.
+func preprocess(a, b *schema.Schema) (*SchemaView, *SchemaView) {
+	return PairProfiles(CompileSchema(a), CompileSchema(b))
+}
+
 // viewsFor builds preprocessed views for two tiny schemata whose elements
 // are handy voter inputs.
 func viewsFor(t *testing.T) (*SchemaView, *SchemaView) {
 	t.Helper()
-	return Preprocess(personSchemaA(), personSchemaB())
+	return preprocess(personSchemaA(), personSchemaB())
 }
 
 func viewOf(sv *SchemaView, path string) *ElementView {
@@ -103,7 +108,7 @@ func TestAcronymVoter(t *testing.T) {
 	ct := s2.AddRoot("Message", schema.KindComplexType)
 	s2.AddElement(ct, "Date_Time_Group", schema.KindXMLElement, schema.TypeString)
 	s2.AddElement(ct, "Priority", schema.KindXMLElement, schema.TypeString)
-	sv, dv := Preprocess(s1, s2)
+	sv, dv := preprocess(s1, s2)
 	v := AcronymVoter{}
 	hit := v.Vote(viewOf(sv, "Msg/DTG"), viewOf(dv, "Message/Date_Time_Group"))
 	if hit.IsAbstention() || hit.Score() <= 0.3 {

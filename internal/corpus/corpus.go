@@ -39,14 +39,23 @@ import (
 	"harmony/internal/text"
 )
 
+// Defaults of the two query knobs callers most often leave unset.
+const (
+	// DefaultCandidates is the default blocking budget.
+	DefaultCandidates = 32
+	// DefaultTopK is the default number of ranked matches returned.
+	DefaultTopK = 5
+)
+
 // Config tunes one corpus query. The zero value means "server defaults"
 // for every knob (see withDefaults).
 type Config struct {
 	// Candidates is the blocking budget: at most this many schemata
 	// survive candidate generation and are considered for engine scoring
-	// (default 32).
+	// (default DefaultCandidates).
 	Candidates int
-	// TopK is the number of ranked matches returned (default 5).
+	// TopK is the number of ranked matches returned (default
+	// DefaultTopK).
 	TopK int
 	// Threshold is the correspondence confidence filter applied when
 	// selecting element pairs per candidate (default 0.4).
@@ -109,10 +118,10 @@ type Config struct {
 
 func (c Config) withDefaults() Config {
 	if c.Candidates <= 0 {
-		c.Candidates = 32
+		c.Candidates = DefaultCandidates
 	}
 	if c.TopK <= 0 {
-		c.TopK = 5
+		c.TopK = DefaultTopK
 	}
 	if c.Threshold <= 0 {
 		c.Threshold = 0.4

@@ -185,6 +185,7 @@ func Rematch(reg *registry.Registry, eng *core.Engine, d *ChangeSet, rep *Upgrad
 		return 0, nil
 	}
 	total := 0
+	var mine *core.CompiledProfile // compiled on the first counterpart
 	for _, ma := range reg.MatchesInvolving(name) {
 		side, _ := ArtifactSide(ma, name)
 		counterName := ma.SchemaB
@@ -195,7 +196,10 @@ func Rematch(reg *registry.Registry, eng *core.Engine, d *ChangeSet, rep *Upgrad
 		if !ok || counterName == name {
 			continue
 		}
-		sv, dv := core.Preprocess(cur.Schema, counter.Schema)
+		if mine == nil {
+			mine = eng.Profile(cur.Schema)
+		}
+		sv, dv := core.PairProfiles(mine, eng.Profile(counter.Schema))
 		res := eng.MatchScoped(sv, dv, dirty)
 		sel := core.SelectGreedyOneToOne(res.Matrix, threshold)
 		if len(sel) == 0 {

@@ -22,7 +22,7 @@ func tiny(name, prefix string, n int) *schema.Schema {
 func TestBinaryFromResult(t *testing.T) {
 	a := tiny("A", "x", 3) // 4 elements total
 	b := tiny("B", "y", 2) // 3 elements total
-	sv, dv := core.Preprocess(a, b)
+	sv, dv := core.PairProfiles(core.CompileSchema(a), core.CompileSchema(b))
 	m := core.NewMatrix(a.Len(), b.Len())
 	m.Set(1, 1, 0.9) // x_a ~ y_a
 	m.Set(2, 2, 0.8) // x_b ~ y_b
@@ -53,7 +53,7 @@ func TestBinaryFromResult(t *testing.T) {
 func TestBinaryStatsString(t *testing.T) {
 	a := tiny("A", "x", 3)
 	b := tiny("B", "y", 2)
-	sv, dv := core.Preprocess(a, b)
+	sv, dv := core.PairProfiles(core.CompileSchema(a), core.CompileSchema(b))
 	m := core.NewMatrix(a.Len(), b.Len())
 	m.Set(1, 1, 0.9)
 	res := &core.Result{Src: sv, Dst: dv, Matrix: m}
@@ -66,7 +66,7 @@ func TestBinaryStatsString(t *testing.T) {
 func TestOverlapCoefficient(t *testing.T) {
 	a := tiny("A", "x", 5) // 6 elements
 	b := tiny("B", "y", 2) // 3 elements (smaller)
-	sv, dv := core.Preprocess(a, b)
+	sv, dv := core.PairProfiles(core.CompileSchema(a), core.CompileSchema(b))
 	m := core.NewMatrix(a.Len(), b.Len())
 	m.Set(1, 1, 0.9)
 	m.Set(2, 2, 0.9)

@@ -829,12 +829,6 @@ func (r *Registry) SearchSchemaInfo(q *schema.Schema, k, docBudget int) ([]searc
 	return r.index.SearchSchemaInfo(q, k, docBudget)
 }
 
-// TuneIndex adjusts the search index's tail-merge threshold (0 restores
-// the default) — a deployment knob, not a per-query one.
-func (r *Registry) TuneIndex(tailMerge int) {
-	r.index.Tune(tailMerge)
-}
-
 // SearchFragments ranks top-level sub-trees of registered schemata.
 func (r *Registry) SearchFragments(query string, k int) []search.Result {
 	return r.index.SearchFragments(query, k)

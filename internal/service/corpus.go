@@ -104,13 +104,12 @@ func (cc serverCorpusCache) Store(key corpus.CacheKey, queryName string, m *corp
 type corpusRequest struct {
 	// Query names the registered schema used as the query term.
 	Query string `json:"query"`
-	// K overrides the server's default top-k (flag -corpus-topk).
+	// K is the result count (0 = corpus.DefaultTopK).
 	K int `json:"k,omitempty"`
-	// Candidates overrides the blocking budget (flag -corpus-candidates).
+	// Candidates is the blocking budget (0 = corpus.DefaultCandidates).
 	Candidates int `json:"candidates,omitempty"`
-	// BlockBudget overrides the blocking index's document-scoring budget
-	// (flag -corpus-block-budget; 0 = server default, exact when that is
-	// also zero).
+	// BlockBudget is the blocking index's document-scoring budget
+	// (0 = exact).
 	BlockBudget int `json:"blockBudget,omitempty"`
 	// Preset and Threshold override the match defaults when non-zero.
 	Preset    string  `json:"preset,omitempty"`
@@ -165,14 +164,13 @@ func (s *Server) corpusTopK(ctx context.Context, req corpusRequest) (*corpus.Res
 		NoReuse:      req.NoReuse,
 		SparseBudget: s.cfg.SparseBudget,
 	}
+	// Resolved before routing: the router pins these values on every
+	// scatter-gather leg.
 	if cfg.Candidates == 0 {
-		cfg.Candidates = s.cfg.CorpusCandidates
+		cfg.Candidates = corpus.DefaultCandidates
 	}
 	if cfg.TopK == 0 {
-		cfg.TopK = s.cfg.CorpusTopK
-	}
-	if cfg.BlockBudget == 0 {
-		cfg.BlockBudget = s.cfg.CorpusBlockBudget
+		cfg.TopK = corpus.DefaultTopK
 	}
 	// A node with a router scatters the query across the replica set
 	// (each leg comes back here on its replica with Local set and a
@@ -249,7 +247,7 @@ func (s *Server) handleCorpusMatch(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, res)
 }
 
-// handleCorpusTopK is GET /v1/corpus/topk?schema=NAME[&k=5][&candidates=32]
+// handleCorpusTopK is GET /v1/corpus/topk?schema=NAME[&k=N][&candidates=N]
 // [&preset=...][&threshold=...][&exhaustive=1][&noreuse=1] — the
 // convenience form of the corpus query.
 func (s *Server) handleCorpusTopK(w http.ResponseWriter, r *http.Request) {

@@ -3,7 +3,6 @@ package service
 import (
 	"fmt"
 	"net/http"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -186,11 +185,11 @@ func TestCorpusRepeatServedFromCache(t *testing.T) {
 
 // TestComposedMappingRoundTrip is the reuse acceptance path: a corpus
 // query composes a mapping through a hub, the composed artifact is
-// persisted with hub provenance, and after a registry reload the
+// persisted with hub provenance, and after a store reopen the
 // warm-start keys it correctly so a repeat query is served from cache.
 func TestComposedMappingRoundTrip(t *testing.T) {
-	db := filepath.Join(t.TempDir(), "registry.json")
-	srv1, err := New(Config{Preset: "harmony", Threshold: 0.4, DBPath: db}, nil)
+	dir := t.TempDir()
+	srv1, err := New(Config{Preset: "harmony", Threshold: 0.4, StoreDir: dir}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +242,7 @@ func TestComposedMappingRoundTrip(t *testing.T) {
 	}
 
 	// Reload: warm-start must seed the cache under the same key.
-	srv2, err := New(Config{Preset: "harmony", Threshold: 0.4, DBPath: db}, nil)
+	srv2, err := New(Config{Preset: "harmony", Threshold: 0.4, StoreDir: dir}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

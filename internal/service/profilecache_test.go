@@ -2,12 +2,15 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"sync"
 	"testing"
 
+	"harmony/internal/core"
+	"harmony/internal/evolve"
 	"harmony/internal/schema"
 	"harmony/internal/synth"
 )
@@ -53,6 +56,41 @@ func TestEvolutionInvalidatesProfileCache(t *testing.T) {
 	do(t, "POST", ts.URL+"/v1/match", matchRequest{A: "billing", B: "crm"}, http.StatusOK, &mr)
 	if _, ok := pc.Get(a2.Fingerprint()); !ok {
 		t.Error("rematch did not cache the new version's profile")
+	}
+}
+
+// TestRematchUsesProfileCache: the scoped re-match after a version bump
+// resolves both schemata through the engine's profile cache, so
+// re-matching the same counterpart a second time compiles nothing.
+func TestRematchUsesProfileCache(t *testing.T) {
+	srv, ts := newTestServer(t, Config{})
+	postSchema(t, ts.URL, testSchema("billing", "invoice_id", "amount_due", "customer_ref", "due_date"))
+	postSchema(t, ts.URL, testSchema("crm", "invoice_id", "amount_due", "customer_ref", "account_mgr"))
+	var mr matchResponse
+	do(t, "POST", ts.URL+"/v1/match", matchRequest{A: "billing", B: "crm"}, http.StatusOK, &mr)
+
+	a2 := testSchema("billing", "invoice_id", "amount_due", "customer_ref", "settlement_date")
+	putSchema(t, ts.URL, a2, "?rematch=none", http.StatusOK)
+	d, ok := srv.evolveStats.take("billing")
+	if !ok {
+		t.Fatal("PUT parked no migration")
+	}
+
+	pc := srv.Profiles()
+	rematch := func() core.ProfileCacheStats {
+		t.Helper()
+		if _, err := srv.rematch(context.Background(), d, &evolve.UpgradeReport{Schema: "billing"}); err != nil {
+			t.Fatal(err)
+		}
+		return pc.Stats()
+	}
+	first := rematch()
+	second := rematch()
+	if second.Misses != first.Misses {
+		t.Errorf("second rematch compiled %d profiles, want 0", second.Misses-first.Misses)
+	}
+	if second.Hits < first.Hits+2 {
+		t.Errorf("second rematch hit the profile cache %d times, want both schemata (2)", second.Hits-first.Hits)
 	}
 }
 

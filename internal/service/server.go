@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"os"
 	"strconv"
 	"strings"
 	"sync"
@@ -54,9 +53,9 @@ type Server struct {
 	// first-come-first-served instead of a client-visible conflict).
 	upgradeMu sync.Mutex
 
-	// st is the durable storage engine (nil in legacy DBPath mode and for
-	// in-memory servers). With a store, mutations are durable per-op and
-	// saveLoop is replaced by snapshotLoop's background compaction.
+	// st is the durable storage engine (nil for in-memory servers). With
+	// a store, mutations are durable per-op and snapshotLoop compacts the
+	// log in the background.
 	st *store.Store
 
 	// readOnly marks follower mode: mutating endpoints 403 and point at
@@ -70,12 +69,6 @@ type Server struct {
 	source   *repl.Source
 	follower *repl.Follower
 	router   *repl.Router
-
-	// persistMu guards persistErr, the legacy save loop's last failure;
-	// /healthz reports degraded while it is set. Store-mode errors are
-	// tracked by the store itself.
-	persistMu  sync.Mutex
-	persistErr error
 
 	// obs is the server-scoped metrics registry (/metrics also renders
 	// the process-wide obs.Default()); recorder keeps the recent-trace
@@ -102,25 +95,21 @@ type Server struct {
 	warmer    *profileWarmer
 	persister *profilePersister
 
-	saveStop  chan struct{}
-	saveDone  chan struct{}
+	snapStop  chan struct{}
+	snapDone  chan struct{}
 	closeOnce sync.Once
 }
 
 // New builds a server from the config.
 //
 // With cfg.StoreDir set, the durable storage engine owns persistence:
-// the registry is recovered from snapshot + WAL replay (migrating a
-// legacy cfg.DBPath file one-shot if the store is empty), every mutation
-// commits to the WAL per-op under cfg.Fsync, and a background loop
-// snapshots + truncates the log once it outgrows cfg.SnapshotEvery.
-//
-// Without a store but with cfg.DBPath naming an existing file, the
-// legacy mode loads the registry from it and saves it on a timer — a
-// crash discards everything since the last tick.
-//
-// Either way the match cache is warm-started from the service's persisted
-// artifacts. logf receives operational messages (nil for silence).
+// the registry is recovered from snapshot + WAL replay (importing
+// cfg.MigrateFrom one-shot if the store is empty), every mutation
+// commits to the WAL per-op under cfg.Fsync, a background loop
+// snapshots + truncates the log once it outgrows cfg.SnapshotEvery, and
+// the match cache is warm-started from the persisted artifacts. Without
+// a store the registry lives in memory only. logf receives operational
+// messages (nil for silence).
 func New(cfg Config, logf func(format string, args ...any)) (*Server, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
@@ -130,12 +119,8 @@ func New(cfg Config, logf func(format string, args ...any)) (*Server, error) {
 		logf = func(string, ...any) {}
 	}
 	reg := registry.New()
-	if cfg.IndexTailMerge > 0 {
-		reg.TuneIndex(cfg.IndexTailMerge)
-	}
 	var st *store.Store
-	switch {
-	case cfg.StoreDir != "":
+	if cfg.StoreDir != "" {
 		if cfg.Role == RoleFollower {
 			// A fresh follower seeds its empty store directory with a
 			// leader snapshot before opening, so recovery starts at the
@@ -149,7 +134,7 @@ func New(cfg Config, logf func(format string, args ...any)) (*Server, error) {
 			Dir:           cfg.StoreDir,
 			Fsync:         store.FsyncPolicy(cfg.Fsync),
 			SnapshotEvery: cfg.SnapshotEvery,
-			MigrateFrom:   cfg.DBPath,
+			MigrateFrom:   cfg.MigrateFrom,
 			Logf:          logf,
 		})
 		if err != nil {
@@ -158,15 +143,6 @@ func New(cfg Config, logf func(format string, args ...any)) (*Server, error) {
 		reg = st.Registry()
 		logf("service: store %s recovered %d schemata, %d artifacts (fsync=%s)",
 			cfg.StoreDir, reg.Len(), reg.MatchCount(), cfg.Fsync)
-	case cfg.DBPath != "":
-		if _, statErr := os.Stat(cfg.DBPath); statErr == nil {
-			reg, err = registry.Load(cfg.DBPath)
-			if err != nil {
-				return nil, fmt.Errorf("service: loading %s: %w", cfg.DBPath, err)
-			}
-			logf("service: loaded %d schemata, %d artifacts from %s",
-				reg.Len(), reg.MatchCount(), cfg.DBPath)
-		}
 	}
 	var profiles *core.ProfileCache
 	var persister *profilePersister
@@ -220,15 +196,10 @@ func New(cfg Config, logf func(format string, args ...any)) (*Server, error) {
 	if n := warmProfiles(profiles, reg, st, logf); n > 0 {
 		logf("service: warm-loaded %d compiled profiles from store artifacts", n)
 	}
-	switch {
-	case s.st != nil:
-		s.saveStop = make(chan struct{})
-		s.saveDone = make(chan struct{})
+	if s.st != nil {
+		s.snapStop = make(chan struct{})
+		s.snapDone = make(chan struct{})
 		go s.snapshotLoop()
-	case cfg.DBPath != "":
-		s.saveStop = make(chan struct{})
-		s.saveDone = make(chan struct{})
-		go s.saveLoop()
 	}
 	if err := s.initRepl(); err != nil {
 		s.Close()
@@ -288,35 +259,12 @@ func (s *Server) Cache() *Cache { return s.cache }
 // Queue exposes the job engine (for tests and embedding).
 func (s *Server) Queue() *Queue { return s.queue }
 
-// saveLoop persists the registry every cfg.SaveInterval until Close (the
-// legacy DBPath mode). Failures surface through /healthz as degraded
-// until a save succeeds again.
-func (s *Server) saveLoop() {
-	defer close(s.saveDone)
-	t := time.NewTicker(s.cfg.SaveInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-t.C:
-			err := s.reg.Save(s.cfg.DBPath)
-			if err != nil {
-				s.logf("service: periodic save: %v", err)
-			}
-			s.persistMu.Lock()
-			s.persistErr = err
-			s.persistMu.Unlock()
-		case <-s.saveStop:
-			return
-		}
-	}
-}
-
 // snapshotLoop is the store mode's background compaction: durability is
 // already per-op through the WAL, so all this loop does is snapshot +
 // truncate the log whenever the replay debt passes cfg.SnapshotEvery
 // records — bounding both crash-recovery time and disk growth.
 func (s *Server) snapshotLoop() {
-	defer close(s.saveDone)
+	defer close(s.snapDone)
 	t := time.NewTicker(s.cfg.SnapshotInterval)
 	defer t.Stop()
 	for {
@@ -328,16 +276,15 @@ func (s *Server) snapshotLoop() {
 			if err := s.st.Snapshot(); err != nil {
 				s.logf("service: background snapshot: %v", err)
 			}
-		case <-s.saveStop:
+		case <-s.snapStop:
 			return
 		}
 	}
 }
 
 // Close shuts the server down: the job queue stops (cancelling queued and
-// running jobs) and the persistence machinery winds down — in store mode
-// a final snapshot compacts the log for a fast next start and the WAL is
-// synced shut; in legacy mode the registry is saved one last time.
+// running jobs) and, in store mode, a final snapshot compacts the log for
+// a fast next start and the WAL is synced shut.
 func (s *Server) Close() error {
 	var err error
 	s.closeOnce.Do(func() {
@@ -354,12 +301,9 @@ func (s *Server) Close() error {
 		if s.persister != nil {
 			s.persister.close()
 		}
-		if s.saveStop != nil {
-			close(s.saveStop)
-			<-s.saveDone
-		}
-		switch {
-		case s.st != nil:
+		if s.st != nil {
+			close(s.snapStop)
+			<-s.snapDone
 			if serr := s.st.Snapshot(); serr != nil {
 				s.logf("service: final snapshot: %v", serr)
 				err = serr
@@ -367,15 +311,13 @@ func (s *Server) Close() error {
 			if cerr := s.st.Close(); cerr != nil && err == nil {
 				err = cerr
 			}
-		case s.cfg.DBPath != "":
-			err = s.reg.Save(s.cfg.DBPath)
 		}
 	})
 	return err
 }
 
-// Store exposes the durable storage engine (nil in legacy / in-memory
-// modes), for tests and embedding.
+// Store exposes the durable storage engine (nil for in-memory servers),
+// for tests and embedding.
 func (s *Server) Store() *store.Store { return s.st }
 
 // Handler returns the HTTP API. On follower nodes the mutating schema
@@ -534,21 +476,10 @@ type healthResponse struct {
 	UptimeSeconds float64 `json:"uptime_seconds"`
 }
 
-// persistenceError returns the most recent save/append failure (nil when
-// persistence is healthy).
-func (s *Server) persistenceError() error {
-	if s.st != nil {
-		return s.st.LastError()
-	}
-	s.persistMu.Lock()
-	defer s.persistMu.Unlock()
-	return s.persistErr
-}
-
-// handleHealth reports degraded — with the error — when the last
-// persistence attempt (WAL append, snapshot, or legacy periodic save)
-// failed, or when a follower's replication stream is down or lagging
-// past cfg.LagThreshold. The process still serves from memory, so this
+// handleHealth reports degraded — with the error — when the store's last
+// persistence attempt (WAL append or snapshot) failed, or when a
+// follower's replication stream is down or lagging past
+// cfg.LagThreshold. The process still serves from memory, so this
 // stays HTTP 200: restarting the pod would not fix a full disk, but an
 // alert on the status can page someone who can.
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
@@ -559,9 +490,11 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		GoVersion:     goVersion,
 		UptimeSeconds: time.Since(s.start).Seconds(),
 	}
-	if err := s.persistenceError(); err != nil {
-		resp.Status = "degraded"
-		resp.Error = err.Error()
+	if s.st != nil {
+		if err := s.st.LastError(); err != nil {
+			resp.Status = "degraded"
+			resp.Error = err.Error()
+		}
 	}
 	if err := s.replicationError(); err != nil {
 		resp.Status = "degraded"

@@ -7,8 +7,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -225,13 +225,13 @@ func TestServerMatchStampede(t *testing.T) {
 	}
 }
 
-// TestServerWarmStart restarts the service on the same DB file and checks
+// TestServerWarmStart restarts the service on the same store and checks
 // that a match computed by the first process is served from cache by the
 // second, without rescoring.
 func TestServerWarmStart(t *testing.T) {
-	db := filepath.Join(t.TempDir(), "registry.json")
+	dir := t.TempDir()
 
-	srv1, err := New(Config{Preset: "name-only", Threshold: 0.5, DBPath: db}, nil)
+	srv1, err := New(Config{Preset: "name-only", Threshold: 0.5, StoreDir: dir}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +251,7 @@ func TestServerWarmStart(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	srv2, err := New(Config{Preset: "name-only", Threshold: 0.5, DBPath: db}, nil)
+	srv2, err := New(Config{Preset: "name-only", Threshold: 0.5, StoreDir: dir}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,8 +304,8 @@ func TestProvenanceNotesRoundTrip(t *testing.T) {
 // TestWarmStartSkipsStaleFingerprints replaces a schema's content after
 // its artifact was stored; the artifact must not seed the cache.
 func TestWarmStartSkipsStaleFingerprints(t *testing.T) {
-	db := filepath.Join(t.TempDir(), "registry.json")
-	srv1, err := New(Config{Preset: "name-only", Threshold: 0.5, DBPath: db}, nil)
+	dir := t.TempDir()
+	srv1, err := New(Config{Preset: "name-only", Threshold: 0.5, StoreDir: dir}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,7 +327,7 @@ func TestWarmStartSkipsStaleFingerprints(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	srv2, err := New(Config{Preset: "name-only", Threshold: 0.5, DBPath: db}, nil)
+	srv2, err := New(Config{Preset: "name-only", Threshold: 0.5, StoreDir: dir}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -434,5 +434,9 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if _, err := New(Config{Threshold: 2}, nil); err == nil {
 		t.Fatal("out-of-range threshold accepted")
+	}
+	_, err := New(Config{MigrateFrom: "registry.json"}, nil)
+	if err == nil || !strings.Contains(err.Error(), "-store-dir") {
+		t.Fatalf("migration file without a store: err = %v, want one naming -store-dir", err)
 	}
 }

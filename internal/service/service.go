@@ -17,10 +17,10 @@
 //     registry as cache seed data, so a restarted daemon serves yesterday's
 //     matches from memory again.
 //   - Server: JSON-over-HTTP endpoints (/v1/schemas, /v1/match, /v1/jobs,
-//     /v1/search, /v1/stats, /healthz) over a registry.Registry whose
-//     mutations are durable per-op through the internal/store WAL (with
-//     background snapshot compaction), or — in the legacy DBPath mode —
-//     saved on a timer; cmd/harmonyd is its daemon wrapper.
+//     /v1/search, /v1/stats, /healthz) over a registry.Registry that is
+//     either in-memory or, with Config.StoreDir, durable per-op through
+//     the internal/store WAL (with background snapshot compaction);
+//     cmd/harmonyd is its daemon wrapper.
 package service
 
 import (
@@ -61,21 +61,18 @@ type Config struct {
 	// one cache, and it is invalidated alongside the match cache on
 	// schema evolution.
 	ProfileCache int
-	// DBPath, when non-empty, is the legacy registry persistence file. It
-	// is loaded at startup when present and saved periodically and on
-	// Close. With StoreDir also set, DBPath is only the one-shot migration
-	// source: an empty store imports it, after which the store owns the
-	// data and the file is no longer read or written.
-	DBPath string
-	// SaveInterval is the periodic persistence cadence of the legacy
-	// DBPath mode (default 30s). Ignored when StoreDir is set.
-	SaveInterval time.Duration
 	// StoreDir, when non-empty, enables the durable storage engine
 	// (internal/store): every registry mutation commits to a
-	// write-ahead log before the request completes, background snapshots
-	// bound crash-recovery replay, and the timer-based DBPath save loop is
-	// replaced entirely.
+	// write-ahead log before the request completes, and background
+	// snapshots bound crash-recovery replay. Empty keeps the registry in
+	// memory only.
 	StoreDir string
+	// MigrateFrom names a registry JSON file (as written by Registry.Save)
+	// that an empty StoreDir imports once as its first snapshot; after
+	// that the store owns the data and the file is never read or written
+	// again. It requires StoreDir and is refused on followers, whose
+	// state must come from the leader.
+	MigrateFrom string
 	// Fsync is the WAL durability policy when StoreDir is set: "commit"
 	// (default; a returned mutation is durable), "interval" (amortized
 	// background syncs) or "off".
@@ -86,20 +83,6 @@ type Config struct {
 	// SnapshotEvery is the WAL record count that triggers a background
 	// snapshot + log truncation (default 1024).
 	SnapshotEvery int
-	// CorpusCandidates is the default blocking budget of corpus queries
-	// that do not set one (default 32).
-	CorpusCandidates int
-	// CorpusTopK is the default result count of corpus queries that do
-	// not set one (default 5).
-	CorpusTopK int
-	// CorpusBlockBudget is the default document-scoring budget of the
-	// blocking index retrieval (0 = exact; see corpus.Config.BlockBudget).
-	CorpusBlockBudget int
-	// IndexTailMerge overrides the search index's tail-merge threshold
-	// (0 keeps the index default): how many incrementally added schemata
-	// accumulate in the mutable tail before a background merge folds them
-	// into the flat compressed segment.
-	IndexTailMerge int
 	// IngestWorkers is the parallelism of the bulk-ingest prepare stage
 	// (parse, profile compilation, index-document preparation per NDJSON
 	// batch). Default: GOMAXPROCS.
@@ -178,8 +161,8 @@ func (c Config) withDefaults() (Config, error) {
 	if c.ProfileCache == 0 {
 		c.ProfileCache = core.DefaultProfileCacheSize
 	}
-	if c.SaveInterval <= 0 {
-		c.SaveInterval = 30 * time.Second
+	if c.MigrateFrom != "" && c.StoreDir == "" {
+		return c, fmt.Errorf("service: migration file %s needs a store directory (-store-dir) to import into", c.MigrateFrom)
 	}
 	if _, err := store.ParseFsyncPolicy(c.Fsync); err != nil {
 		return c, fmt.Errorf("service: %w", err)
@@ -189,12 +172,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.SnapshotEvery <= 0 {
 		c.SnapshotEvery = 1024
-	}
-	if c.CorpusCandidates <= 0 {
-		c.CorpusCandidates = 32
-	}
-	if c.CorpusTopK <= 0 {
-		c.CorpusTopK = 5
 	}
 	if c.SparseBudget == 0 {
 		c.SparseBudget = core.DefaultSparseBudget
@@ -210,6 +187,12 @@ func (c Config) withDefaults() (Config, error) {
 	case RoleFollower:
 		if c.PeerURL == "" {
 			return c, fmt.Errorf("service: follower role needs a peer URL")
+		}
+		if c.MigrateFrom != "" {
+			// A follower whose snapshot bootstrap failed would import the
+			// file at LSN 0 and then apply the leader's log on top of
+			// unrelated state.
+			return c, fmt.Errorf("service: a follower takes its state from the leader, not a migration file")
 		}
 	default:
 		return c, fmt.Errorf("service: unknown role %q (want %q or %q)", c.Role, RoleLeader, RoleFollower)
@@ -250,8 +233,8 @@ type Stats struct {
 	// Profiles is the compiled-profile cache snapshot (nil when the
 	// cache is disabled via Config.ProfileCache < 0).
 	Profiles *core.ProfileCacheStats `json:"profiles,omitempty"`
-	// Store is the durable storage engine's snapshot (nil in legacy
-	// DBPath mode and for in-memory servers).
+	// Store is the durable storage engine's snapshot (nil for in-memory
+	// servers).
 	Store *store.Stats `json:"store,omitempty"`
 	// Repl is the replication block (nil on unreplicated nodes).
 	Repl *ReplStats `json:"repl,omitempty"`
