@@ -29,11 +29,10 @@
 //	-workers N           job worker-pool size (default 2)
 //	-backlog N           job backlog cap: submissions beyond it are load-shed
 //	                     with 429 + a Retry-After drain estimate (default 64)
-//	-ingest-workers N    bulk-ingest prepare parallelism — parse and profile
-//	                     compilation workers per stream (default GOMAXPROCS)
+//	-ingest-workers N    bulk-ingest prepare parallelism — parse and
+//	                     admission-prep workers per stream; match profiles
+//	                     compile on first match (default GOMAXPROCS)
 //	-cache N             match cache capacity in entries (default 256)
-//	-profile-cache N     compiled-profile cache capacity in schemas
-//	                     (default 0 = 128; negative disables)
 //	-sparse-budget N     per-source candidate budget of sparse candidate-pair
 //	                     scoring for large matches (default 64; 0 disables
 //	                     sparse mode, every pair is scored densely)
@@ -157,10 +156,8 @@ func main() {
 	backlog := flag.Int("backlog", 64,
 		"job backlog cap: submissions beyond it answer 429 with Retry-After")
 	ingestWorkers := flag.Int("ingest-workers", 0,
-		"bulk-ingest prepare parallelism: parse + profile compilation workers per stream (0 = GOMAXPROCS)")
+		"bulk-ingest prepare parallelism: parse + admission-prep workers per stream; match profiles compile on first match (0 = GOMAXPROCS)")
 	cacheSize := flag.Int("cache", 256, "match cache capacity (entries)")
-	profileCache := flag.Int("profile-cache", 0,
-		"compiled-profile cache capacity in schemas (0 = default, negative disables)")
 	sparseBudget := flag.Int("sparse-budget", service.DefaultSparseBudget,
 		"per-source candidate budget for sparse scoring of large matches (0 disables)")
 	role := flag.String("role", "", "replication role: leader, follower or empty (unreplicated)")
@@ -229,7 +226,6 @@ func main() {
 		Backlog:          *backlog,
 		IngestWorkers:    *ingestWorkers,
 		CacheSize:        *cacheSize,
-		ProfileCache:     *profileCache,
 		StoreDir:         *storeDir,
 		MigrateFrom:      *db,
 		Fsync:            *fsync,

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"encoding/json"
-	"fmt"
 	"math"
 	"sort"
 	"sync"
@@ -57,10 +55,9 @@ func (p *CompiledProfile) Fingerprint() string { return p.fp }
 func (p *CompiledProfile) Len() int { return len(p.tmpl) }
 
 // elemLex is the lexed form of one element — the output of the
-// text-processing stage of compilation and the unit of profile
-// persistence. CompileSchema produces it by tokenizing; DecodeProfile
-// reads it back from a stored blob; compileFrom derives everything
-// else (interning, shapes, runes, trigrams, vocabulary) from it.
+// text-processing stage of compilation. CompileSchema produces it by
+// tokenizing; compileFrom derives everything else (interning, shapes,
+// runes, trigrams, vocabulary) from it.
 type elemLex struct {
 	name     []string // normalized name tokens
 	raw      string   // delimiter-stripped raw name (acronym detection)
@@ -366,86 +363,4 @@ func materializeViews(p *CompiledProfile, vmap []int32, jointIDF []float64) *Sch
 		views[e].DocVector = text.MakeVector(p.elemTerms[lo:hi], ids[lo:hi], weights[lo:hi])
 	}
 	return &SchemaView{Schema: p.Schema, Views: views}
-}
-
-// --- persistence -----------------------------------------------------------
-
-// profileBlobVersion versions the persisted profile encoding; decoding
-// rejects other versions so stale artifacts are recompiled, not
-// misread.
-const profileBlobVersion = 1
-
-type profileBlobElem struct {
-	Name  []string `json:"n,omitempty"`
-	Raw   string   `json:"r,omitempty"`
-	Terms []string `json:"t,omitempty"`
-	TF    []int32  `json:"f,omitempty"`
-	Count int      `json:"c,omitempty"`
-}
-
-type profileBlob struct {
-	V           int               `json:"v"`
-	Fingerprint string            `json:"fp"`
-	Elements    []profileBlobElem `json:"elements"`
-}
-
-// Encode serializes the text-processing output of compilation (the
-// expensive, schema-content-determined part). Interned IDs, shapes and
-// vocabulary indices are process-local and derived again on decode.
-func (p *CompiledProfile) Encode() []byte {
-	blob := profileBlob{V: profileBlobVersion, Fingerprint: p.fp, Elements: make([]profileBlobElem, len(p.tmpl))}
-	for i := range p.tmpl {
-		v := &p.tmpl[i]
-		lo, hi := p.elemStart[i], p.elemStart[i+1]
-		blob.Elements[i] = profileBlobElem{
-			Name:  v.NameTokens,
-			Raw:   v.RawAcronym,
-			Terms: p.elemTerms[lo:hi],
-			TF:    p.elemTF[lo:hi],
-			Count: v.DocTokenCount,
-		}
-	}
-	data, err := json.Marshal(blob)
-	if err != nil {
-		// Marshal of plain slices/strings cannot fail; keep the signature
-		// allocation-friendly for the persist hook.
-		panic(err)
-	}
-	return data
-}
-
-// DecodeProfile rebuilds a compiled profile for s from a blob produced
-// by Encode. The blob must match the schema (fingerprint and element
-// count) and pass structural validation; any mismatch returns an error
-// and the caller should recompile from source instead.
-func DecodeProfile(s *schema.Schema, data []byte) (*CompiledProfile, error) {
-	var blob profileBlob
-	if err := json.Unmarshal(data, &blob); err != nil {
-		return nil, fmt.Errorf("profile blob: %w", err)
-	}
-	if blob.V != profileBlobVersion {
-		return nil, fmt.Errorf("profile blob version %d, want %d", blob.V, profileBlobVersion)
-	}
-	if fp := s.Fingerprint(); blob.Fingerprint != fp {
-		return nil, fmt.Errorf("profile blob fingerprint %s does not match schema %s", blob.Fingerprint, fp)
-	}
-	if len(blob.Elements) != s.Len() {
-		return nil, fmt.Errorf("profile blob has %d elements, schema has %d", len(blob.Elements), s.Len())
-	}
-	lex := make([]elemLex, len(blob.Elements))
-	for i, be := range blob.Elements {
-		if len(be.TF) != len(be.Terms) {
-			return nil, fmt.Errorf("element %d: %d terms but %d frequencies", i, len(be.Terms), len(be.TF))
-		}
-		for k, t := range be.Terms {
-			if k > 0 && be.Terms[k-1] >= t {
-				return nil, fmt.Errorf("element %d: terms not sorted/distinct at %d", i, k)
-			}
-			if be.TF[k] < 1 {
-				return nil, fmt.Errorf("element %d: non-positive tf for %q", i, t)
-			}
-		}
-		lex[i] = elemLex{name: be.Name, raw: be.Raw, docTerms: be.Terms, docTF: be.TF, docCount: be.Count}
-	}
-	return compileFrom(s, lex), nil
 }

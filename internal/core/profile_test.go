@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"strings"
 	"testing"
 
 	"harmony/internal/schema"
@@ -86,53 +85,6 @@ func explainScore(e *Engine, sv, dv *SchemaView, i, j int) float64 {
 		weights[k] = r.Weight
 	}
 	return e.Merger().Merge(votes, weights)
-}
-
-// TestProfileEncodeDecodeRoundTrip verifies that a profile decoded from
-// its store-artifact blob scores identically to a freshly compiled one.
-func TestProfileEncodeDecodeRoundTrip(t *testing.T) {
-	sa, _ := synth.Custom("A", schema.FormatRelational, synth.StyleRelational, 3, 8, 6, 1)
-	sb, _ := synth.Custom("B", schema.FormatXML, synth.StyleXML, 3, 8, 6, 3)
-
-	pa := CompileSchema(sa)
-	decoded, err := DecodeProfile(sa, pa.Encode())
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	eng := PresetHarmony()
-	want := eng.MatchProfiles(pa, CompileSchema(sb))
-	got := eng.MatchProfiles(decoded, CompileSchema(sb))
-	for i := 0; i < sa.Len(); i++ {
-		for j := 0; j < sb.Len(); j++ {
-			if got.Matrix.At(i, j) != want.Matrix.At(i, j) {
-				t.Fatalf("score (%d,%d) = %v from decoded profile, %v from compiled",
-					i, j, got.Matrix.At(i, j), want.Matrix.At(i, j))
-			}
-		}
-	}
-	want.Release()
-	got.Release()
-}
-
-func TestDecodeProfileRejectsMismatches(t *testing.T) {
-	sa, _ := synth.Custom("A", schema.FormatRelational, synth.StyleRelational, 3, 8, 6, 1)
-	sb, _ := synth.Custom("B", schema.FormatXML, synth.StyleXML, 3, 8, 6, 3)
-	blob := CompileSchema(sa).Encode()
-
-	if _, err := DecodeProfile(sb, blob); err == nil {
-		t.Error("decode against a different schema should fail the fingerprint check")
-	}
-	if _, err := DecodeProfile(sa, []byte(`{"v":99}`)); err == nil {
-		t.Error("decode of an unknown blob version should fail")
-	}
-	if _, err := DecodeProfile(sa, []byte(`not json`)); err == nil {
-		t.Error("decode of a corrupt blob should fail")
-	}
-	mangled := strings.Replace(string(blob), `"v":1`, `"v":2`, 1)
-	if _, err := DecodeProfile(sa, []byte(mangled)); err == nil {
-		t.Error("decode of a future blob version should fail")
-	}
 }
 
 func TestProfileCacheLRUEvictionAndInvalidation(t *testing.T) {

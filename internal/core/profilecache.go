@@ -27,9 +27,9 @@ const DefaultProfileCacheSize = 128
 // caches drop it in the same sweep, so a PUT /v1/schemas rematch always
 // recompiles against current content.
 //
-// An optional persist hook receives every profile
-// compiled through the cache (not warm-loaded via Put), letting the
-// store keep profiles as artifacts that survive restarts.
+// The cache lives in memory only and only matches fill it: a profile is
+// derived from schema content alone, so after a restart each schema
+// compiles again the first time a match touches it.
 type ProfileCache struct {
 	mu       sync.Mutex
 	capacity int
@@ -37,8 +37,6 @@ type ProfileCache struct {
 	items    map[string]*list.Element
 
 	hits, misses, evictions, invalidations uint64
-
-	persist func(fp string, p *CompiledProfile)
 }
 
 type profileCacheEntry struct {
@@ -59,17 +57,6 @@ func NewProfileCache(capacity int) *ProfileCache {
 	}
 }
 
-// SetPersist installs the artifact hook called (outside the cache lock)
-// with every profile compiled on a cache miss. The hook receives the
-// profile itself, not an encoded blob — encoding costs tens of
-// microseconds per schema, so persisters that write asynchronously can
-// defer it off the compile path.
-func (c *ProfileCache) SetPersist(fn func(fp string, p *CompiledProfile)) {
-	c.mu.Lock()
-	c.persist = fn
-	c.mu.Unlock()
-}
-
 // Profile returns the compiled profile for s, compiling on miss. The
 // compile runs outside the lock — two concurrent misses on the same
 // fingerprint may both compile, and the loser's (identical) result is
@@ -84,7 +71,7 @@ func (c *ProfileCache) Profile(s *schema.Schema) *CompiledProfile {
 	t0 := time.Now()
 	p := CompileSchema(s)
 	phaseCompile.Observe(time.Since(t0).Seconds())
-	c.add(fp, p, true)
+	c.add(fp, p)
 	return p
 }
 
@@ -95,12 +82,6 @@ func (c *ProfileCache) Get(fp string) (*CompiledProfile, bool) {
 	}
 	profileCacheMiss.Inc()
 	return nil, false
-}
-
-// Put warm-loads a profile (typically decoded from a store artifact)
-// without firing the persist hook.
-func (c *ProfileCache) Put(fp string, p *CompiledProfile) {
-	c.add(fp, p, false)
 }
 
 func (c *ProfileCache) lookup(fp string) (*CompiledProfile, bool) {
@@ -120,7 +101,7 @@ func (c *ProfileCache) lookup(fp string) (*CompiledProfile, bool) {
 	return el.Value.(*profileCacheEntry).p, true
 }
 
-func (c *ProfileCache) add(fp string, p *CompiledProfile, persist bool) {
+func (c *ProfileCache) add(fp string, p *CompiledProfile) {
 	c.mu.Lock()
 	if el, ok := c.items[fp]; ok {
 		// Lost a compile race; keep the incumbent (identical content).
@@ -137,11 +118,7 @@ func (c *ProfileCache) add(fp string, p *CompiledProfile, persist bool) {
 		c.evictions++
 		profileCacheEvict.Inc()
 	}
-	hook := c.persist
 	c.mu.Unlock()
-	if persist && hook != nil {
-		hook(fp, p)
-	}
 }
 
 // InvalidateFingerprint drops the profile compiled from the given

@@ -23,9 +23,9 @@ import (
 // a pipeline that keeps every stage off the registry's critical path:
 //
 //	read lines → chunk into batches → parallel prepare (parse, stats,
-//	fingerprint, journal payload, index documents, profile-cache warm)
-//	→ sequential batched admission (one registry lock acquisition and
-//	one WAL record per batch) → ack line after the batch is durable.
+//	fingerprint, journal payload, index documents) → sequential batched
+//	admission (one registry lock acquisition and one WAL record per
+//	batch) → ack line after the batch is durable.
 //
 // Acks stream back as NDJSON too, one per batch, each written only after
 // the batch's journal commit returned — under fsync-per-commit an acked
@@ -89,9 +89,6 @@ type bulkBatch struct {
 	lines    []bulkLine
 	prepared []*registry.PreparedSchema
 	errs     []bulkLineError
-	// admitted collects the schemas AddPrepared accepted, for post-stream
-	// profile warming.
-	admitted []*schema.Schema
 	done     chan struct{}
 }
 
@@ -230,7 +227,6 @@ func (s *Server) handleBulkIngest(w http.ResponseWriter, r *http.Request) {
 	var (
 		batches, lines, added, failed int
 		streamErr                     error
-		warmList                      []*schema.Schema
 	)
 	for b := range ordered {
 		<-b.done
@@ -257,7 +253,6 @@ func (s *Server) handleBulkIngest(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		_ = rc.Flush()
-		warmList = append(warmList, b.admitted...)
 	}
 	wg.Wait()
 	if err := <-readErr; err != nil && streamErr == nil {
@@ -293,27 +288,15 @@ func (s *Server) handleBulkIngest(w http.ResponseWriter, r *http.Request) {
 	}
 	_ = enc.Encode(summary)
 	_ = rc.Flush()
-
-	// Profile warming runs after the stream, not during: warming is
-	// best-effort cache/artifact work, and on small machines an inline
-	// compile per schema would compete with the pipeline for cores. The
-	// warmer's queue sheds load if a bigger stream than its backlog
-	// arrives; dropped schemas compile lazily on first match.
-	if s.warmer != nil {
-		for _, sc := range warmList {
-			s.warmer.enqueue(sc)
-		}
-	}
 }
 
 // prepareBulkBatch runs the lock-free stage on one batch: parse each
 // line and compile its admission form (stats, fingerprint, index
 // documents). The NDJSON line itself becomes the journal payload — it
 // already is the schema's serialized form, so the marshal AddSchema pays
-// is skipped. Each parsed schema is also handed to the background
-// profile warmer, so the first match against a bulk-loaded schema skips
-// compilation without admission ever waiting on it. Runs on a worker;
-// touches no registry state.
+// is skipped. Match profiles are not compiled here: a schema compiles
+// into the profile cache the first time a match touches it. Runs on a
+// worker; touches no registry state.
 func (s *Server) prepareBulkBatch(b *bulkBatch, steward string, tags []string) {
 	t0 := time.Now()
 	b.prepared = make([]*registry.PreparedSchema, len(b.lines))
@@ -354,8 +337,6 @@ func (s *Server) admitBulkBatch(b *bulkBatch) bulkAck {
 	for i, err := range errs {
 		if err != nil {
 			ack.Errors = append(ack.Errors, bulkLineError{Line: lineOf[i], Error: err.Error()})
-		} else {
-			b.admitted = append(b.admitted, batch[i].Schema)
 		}
 	}
 	if s.st != nil {

@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 
@@ -56,6 +58,34 @@ func TestEvolutionInvalidatesProfileCache(t *testing.T) {
 	do(t, "POST", ts.URL+"/v1/match", matchRequest{A: "billing", B: "crm"}, http.StatusOK, &mr)
 	if _, ok := pc.Get(a2.Fingerprint()); !ok {
 		t.Error("rematch did not cache the new version's profile")
+	}
+}
+
+// TestBulkIngestCompilesNoProfiles: bulk ingest admits schemata without
+// compiling their match profiles, and no profile is written to the
+// store. The stream is larger than the profile cache; after it, one
+// match and a clean shutdown, exactly the match's two schemata have been
+// compiled and the store holds no profiles/ directory.
+func TestBulkIngestCompilesNoProfiles(t *testing.T) {
+	dir := t.TempDir()
+	srv, ts := newTestServer(t, Config{StoreDir: dir, Fsync: "commit", IngestWorkers: 2})
+	schemas, _, _ := synth.Collection(5, 8, 25)
+	if len(schemas) <= core.DefaultProfileCacheSize {
+		t.Fatalf("%d schemata do not exceed the profile cache (%d)", len(schemas), core.DefaultProfileCacheSize)
+	}
+	if _, summary := bulkIngest(t, ts.URL, ndjsonBody(t, schemas), "batch=50"); summary.Added != len(schemas) {
+		t.Fatalf("bulk ingest added %d of %d schemata", summary.Added, len(schemas))
+	}
+	var mr matchResponse
+	do(t, "POST", ts.URL+"/v1/match", matchRequest{A: schemas[0].Name, B: schemas[1].Name}, http.StatusOK, &mr)
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if st := srv.Profiles().Stats(); st.Misses != 2 {
+		t.Errorf("profile cache compiled %d schemata, want the match's 2: %+v", st.Misses, st)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "profiles")); !os.IsNotExist(err) {
+		t.Errorf("store has a profiles directory (stat error %v), want none", err)
 	}
 }
 

@@ -35,10 +35,9 @@ type Server struct {
 	cache   *Cache
 	queue   *Queue
 	engines map[string]*core.Engine
-	// profiles is the compiled-profile cache shared by every preset
-	// engine (nil when cfg.ProfileCache < 0). It is invalidated in the
-	// same sweep as the match cache on schema evolution, and — with a
-	// store — persisted as profile artifacts that warm-load on restart.
+	// profiles is the in-memory compiled-profile cache shared by every
+	// preset engine. Matches fill it; schema evolution invalidates it in
+	// the same sweep as the match cache.
 	profiles *core.ProfileCache
 	start    time.Time
 	logf     func(format string, args ...any)
@@ -89,12 +88,6 @@ type Server struct {
 	ingestStageSec     *obs.HistogramVec
 	ingestStreamSec    *obs.Histogram
 
-	// Background profile machinery: warmer compiles streamed schemas'
-	// profiles off the ingest path, persister writes compiled profiles
-	// to store artifacts off the compile path.
-	warmer    *profileWarmer
-	persister *profilePersister
-
 	snapStop  chan struct{}
 	snapDone  chan struct{}
 	closeOnce sync.Once
@@ -144,32 +137,14 @@ func New(cfg Config, logf func(format string, args ...any)) (*Server, error) {
 		logf("service: store %s recovered %d schemata, %d artifacts (fsync=%s)",
 			cfg.StoreDir, reg.Len(), reg.MatchCount(), cfg.Fsync)
 	}
-	var profiles *core.ProfileCache
-	var persister *profilePersister
-	if cfg.ProfileCache > 0 {
-		profiles = core.NewProfileCache(cfg.ProfileCache)
-		if st != nil {
-			// Persist every freshly compiled profile as a store artifact.
-			// Profiles are derived, non-journaled side files, so this is
-			// safe on followers too: nothing touches the WAL or the LSN
-			// sequence. Failures only cost the next restart a recompile.
-			// Writes run on a background goroutine: encode + temp-file +
-			// rename costs ~¼ms and used to run inline on the compile
-			// path.
-			persister = newProfilePersister(st.SaveProfile, logf)
-			profiles.SetPersist(persister.enqueue)
-		}
-	}
+	profiles := core.NewProfileCache(core.DefaultProfileCacheSize)
 	engines := make(map[string]*core.Engine, len(core.Presets()))
 	for name, mk := range core.Presets() {
 		eng := mk()
 		if cfg.SparseBudget > 0 {
 			eng = eng.WithOptions(core.WithSparse(cfg.SparseBudget))
 		}
-		if profiles != nil {
-			eng = eng.WithOptions(core.WithProfileCache(profiles))
-		}
-		engines[name] = eng
+		engines[name] = eng.WithOptions(core.WithProfileCache(profiles))
 	}
 	s := &Server{
 		cfg:      cfg,
@@ -182,19 +157,12 @@ func New(cfg Config, logf func(format string, args ...any)) (*Server, error) {
 		logf:     logf,
 		st:       st,
 	}
-	s.persister = persister
-	if profiles != nil {
-		s.warmer = newProfileWarmer(profiles, cfg.IngestWorkers)
-	}
 	// The trace recorder exists before initRepl so the follower's apply
 	// loop can record replication batches from its first poll.
 	s.recorder = obs.NewRecorder(cfg.TraceRing)
 	s.corpusPipe = corpus.NewPipeline(reg, serverCorpusCache{s})
 	if n := WarmStart(s.cache, reg); n > 0 {
 		logf("service: warm-started match cache with %d stored results", n)
-	}
-	if n := warmProfiles(profiles, reg, st, logf); n > 0 {
-		logf("service: warm-loaded %d compiled profiles from store artifacts", n)
 	}
 	if s.st != nil {
 		s.snapStop = make(chan struct{})
@@ -209,48 +177,10 @@ func New(cfg Config, logf func(format string, args ...any)) (*Server, error) {
 	return s, nil
 }
 
-// warmProfiles seeds the compiled-profile cache from persisted store
-// artifacts, so the first matches after a restart skip schema
-// compilation entirely. Artifacts for fingerprints no longer registered
-// (the schema evolved or was deleted while the daemon was down) are
-// removed; artifacts that fail validation are dropped and recompiled on
-// demand. Returns the number of profiles loaded.
-func warmProfiles(profiles *core.ProfileCache, reg *registry.Registry, st *store.Store, logf func(string, ...any)) int {
-	if profiles == nil || st == nil {
-		return 0
-	}
-	byFP := make(map[string]*schema.Schema)
-	for _, e := range reg.Schemas() {
-		byFP[e.Fingerprint] = e.Schema
-	}
-	loaded := 0
-	for _, fp := range st.ProfileFingerprints() {
-		sc, registered := byFP[fp]
-		if !registered {
-			st.DeleteProfile(fp)
-			continue
-		}
-		blob, ok := st.LoadProfile(fp)
-		if !ok {
-			continue
-		}
-		p, err := core.DecodeProfile(sc, blob)
-		if err != nil {
-			logf("service: dropping invalid profile artifact %s: %v", fp, err)
-			st.DeleteProfile(fp)
-			continue
-		}
-		profiles.Put(fp, p)
-		loaded++
-	}
-	return loaded
-}
-
 // Registry exposes the backing repository (for tests and embedding).
 func (s *Server) Registry() *registry.Registry { return s.reg }
 
-// Profiles exposes the compiled-profile cache (nil when disabled), for
-// tests and embedding.
+// Profiles exposes the compiled-profile cache, for tests and embedding.
 func (s *Server) Profiles() *core.ProfileCache { return s.profiles }
 
 // Cache exposes the match cache (for tests and embedding).
@@ -295,12 +225,6 @@ func (s *Server) Close() error {
 		}
 		s.replMu.Unlock()
 		s.queue.Close()
-		if s.warmer != nil {
-			s.warmer.close()
-		}
-		if s.persister != nil {
-			s.persister.close()
-		}
 		if s.st != nil {
 			close(s.snapStop)
 			<-s.snapDone
@@ -517,10 +441,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Evolve:        s.evolveStats.snapshot(),
 		Ingest:        s.ingestStats.snapshot(),
 		Index:         s.reg.IndexStats(),
-	}
-	if s.profiles != nil {
-		ps := s.profiles.Stats()
-		st.Profiles = &ps
+		Profiles:      s.profiles.Stats(),
 	}
 	if s.st != nil {
 		ss := s.st.Stats()

@@ -55,12 +55,6 @@ type Config struct {
 	Backlog int
 	// CacheSize is the match cache capacity in entries (default 256).
 	CacheSize int
-	// ProfileCache is the compiled-profile cache capacity in schemas
-	// (default core.DefaultProfileCacheSize; negative disables the cache
-	// and every match recompiles its schemas). All preset engines share
-	// one cache, and it is invalidated alongside the match cache on
-	// schema evolution.
-	ProfileCache int
 	// StoreDir, when non-empty, enables the durable storage engine
 	// (internal/store): every registry mutation commits to a
 	// write-ahead log before the request completes, and background
@@ -84,8 +78,9 @@ type Config struct {
 	// snapshot + log truncation (default 1024).
 	SnapshotEvery int
 	// IngestWorkers is the parallelism of the bulk-ingest prepare stage
-	// (parse, profile compilation, index-document preparation per NDJSON
-	// batch). Default: GOMAXPROCS.
+	// (parse, statistics, fingerprint and index-document preparation per
+	// NDJSON batch; match profiles compile later, on first match).
+	// Default: GOMAXPROCS.
 	IngestWorkers int
 	// SparseBudget is the per-source candidate budget of sparse
 	// candidate-pair scoring in the match engines (0 picks
@@ -158,9 +153,6 @@ func (c Config) withDefaults() (Config, error) {
 	if c.CacheSize <= 0 {
 		c.CacheSize = 256
 	}
-	if c.ProfileCache == 0 {
-		c.ProfileCache = core.DefaultProfileCacheSize
-	}
 	if c.MigrateFrom != "" && c.StoreDir == "" {
 		return c, fmt.Errorf("service: migration file %s needs a store directory (-store-dir) to import into", c.MigrateFrom)
 	}
@@ -230,9 +222,8 @@ type Stats struct {
 	Evolve        EvolveStats  `json:"evolve"`
 	Ingest        IngestStats  `json:"ingest"`
 	Index         search.Stats `json:"index"`
-	// Profiles is the compiled-profile cache snapshot (nil when the
-	// cache is disabled via Config.ProfileCache < 0).
-	Profiles *core.ProfileCacheStats `json:"profiles,omitempty"`
+	// Profiles is the compiled-profile cache snapshot.
+	Profiles core.ProfileCacheStats `json:"profiles"`
 	// Store is the durable storage engine's snapshot (nil for in-memory
 	// servers).
 	Store *store.Stats `json:"store,omitempty"`

@@ -7,12 +7,14 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"harmony/internal/registry"
+	"harmony/internal/schema"
 )
 
 // crashCopy clones a store directory while the server is still running —
@@ -26,32 +28,6 @@ func crashCopy(t *testing.T, src string) string {
 		t.Fatal(err)
 	}
 	for _, e := range entries {
-		if e.IsDir() {
-			// Side-artifact directories (e.g. profiles/) are flat; copy
-			// their files one level deep.
-			subSrc := filepath.Join(src, e.Name())
-			subDst := filepath.Join(dst, e.Name())
-			if err := os.MkdirAll(subDst, 0o755); err != nil {
-				t.Fatal(err)
-			}
-			subEntries, err := os.ReadDir(subSrc)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, se := range subEntries {
-				if se.IsDir() {
-					continue
-				}
-				data, err := os.ReadFile(filepath.Join(subSrc, se.Name()))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(filepath.Join(subDst, se.Name()), data, 0o644); err != nil {
-					t.Fatal(err)
-				}
-			}
-			continue
-		}
 		data, err := os.ReadFile(filepath.Join(src, e.Name()))
 		if err != nil {
 			t.Fatal(err)
@@ -61,6 +37,80 @@ func crashCopy(t *testing.T, src string) string {
 		}
 	}
 	return dst
+}
+
+// TestStoreWithLeftoverProfileArtifacts opens a store written by an
+// older harmonyd, which kept compiled-profile artifacts under
+// <store>/profiles/. The directory is ignored: the store recovers the
+// same schemata, no profile is loaded from it, a match scores exactly
+// as on a fresh server, and the leftover files stay as they were.
+func TestStoreWithLeftoverProfileArtifacts(t *testing.T) {
+	dir := t.TempDir()
+	a := testSchema("billing", "invoice_id", "amount_due", "customer_ref", "due_date")
+	b := testSchema("crm", "invoice_id", "amount_due", "customer_ref", "account_mgr")
+	srv, ts := newTestServer(t, Config{StoreDir: dir, Fsync: "commit"})
+	postSchema(t, ts.URL, a)
+	postSchema(t, ts.URL, b)
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	leftovers := map[string]string{
+		a.Fingerprint() + ".json":         fmt.Sprintf(`{"v":1,"fp":%q,"elements":[]}`, a.Fingerprint()),
+		b.Fingerprint() + ".json":         "\x00garbage{",
+		strings.Repeat("0", 32) + ".json": `{"v":1,"fp":"00000000000000000000000000000000","elements":[]}`,
+		".tmp-profile-1":                  "partial",
+	}
+	profDir := filepath.Join(dir, "profiles")
+	if err := os.MkdirAll(profDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for name, data := range leftovers {
+		if err := os.WriteFile(filepath.Join(profDir, name), []byte(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	srv2, ts2 := newTestServer(t, Config{StoreDir: dir, Fsync: "commit"})
+	if got := srv2.Registry().Len(); got != 2 {
+		t.Fatalf("recovered %d schemata, want 2", got)
+	}
+	for _, s := range []*schema.Schema{a, b} {
+		e, ok := srv2.Registry().Schema(s.Name)
+		if !ok || e.Fingerprint != s.Fingerprint() {
+			t.Fatalf("recovered %s = %+v, want fingerprint %s", s.Name, e, s.Fingerprint())
+		}
+	}
+	if st := srv2.Profiles().Stats(); st.Size != 0 {
+		t.Fatalf("profile cache holds %d profiles before any match, want 0", st.Size)
+	}
+	var got matchResponse
+	do(t, "POST", ts2.URL+"/v1/match", matchRequest{A: "billing", B: "crm"}, http.StatusOK, &got)
+
+	_, fresh := newTestServer(t, Config{})
+	postSchema(t, fresh.URL, a)
+	postSchema(t, fresh.URL, b)
+	var want matchResponse
+	do(t, "POST", fresh.URL+"/v1/match", matchRequest{A: "billing", B: "crm"}, http.StatusOK, &want)
+	if got.Cached || len(want.Pairs) == 0 || !reflect.DeepEqual(got.Pairs, want.Pairs) {
+		t.Fatalf("match on the upgraded store (cached=%v) = %+v, fresh server = %+v", got.Cached, got.Pairs, want.Pairs)
+	}
+
+	if err := srv2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	entries, err := os.ReadDir(profDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != len(leftovers) {
+		t.Fatalf("profiles/ holds %d files after restart, want the %d left there", len(entries), len(leftovers))
+	}
+	for name, data := range leftovers {
+		if b, err := os.ReadFile(filepath.Join(profDir, name)); err != nil || string(b) != data {
+			t.Errorf("leftover %s changed: %q, %v", name, b, err)
+		}
+	}
 }
 
 // TestServerStoreSurvivesKill9 is the service-level durability check: a
